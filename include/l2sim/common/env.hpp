@@ -17,10 +17,8 @@ namespace l2s {
 /// Parse an integer environment variable with a default.
 [[nodiscard]] std::int64_t env_int(const char* name, std::int64_t fallback);
 
-/// The process-wide thread budget every parallel component (run_parallel
-/// job workers, ShardedScheduler windows) draws from, so their product
-/// never oversubscribes the machine. L2SIM_THREADS overrides; otherwise
-/// hardware concurrency. Always >= 1.
+/// The process-wide thread budget run_parallel's job workers draw from.
+/// L2SIM_THREADS overrides; otherwise hardware concurrency. Always >= 1.
 [[nodiscard]] unsigned thread_budget();
 
 }  // namespace l2s

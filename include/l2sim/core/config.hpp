@@ -206,29 +206,12 @@ struct PersistenceConfig {
   PersistentMode mode = PersistentMode::kConnectionHandoff;
 };
 
-/// Which DES engine drives the run (consumed by ClusterSimulation).
+/// Engine selection. One serial des::Scheduler drives every run, so 0 is
+/// the only valid `shards` value (validate() rejects any other). The field
+/// stays only because the benchmark program (perfbench/src/workloads.cpp)
+/// still assigns it.
 struct EngineConfig {
-  /// `shards` picks the sentinel for "one shard per available thread"
-  /// (the process thread budget, L2SIM_THREADS-overridable).
-  static constexpr int kAutoShards = -1;
-
-  /// Number of DES shards the cluster's nodes are partitioned across.
-  ///   0            — the classic single-heap serial engine (default);
-  ///   N >= 1       — the sharded engine with N shards (clamped to the
-  ///                  node count; N == 1 is the sharded code path with a
-  ///                  single shard);
-  ///   kAutoShards  — one shard per thread-budget thread.
-  /// The sharded cluster engine runs in sequential-merge mode, which is
-  /// bit-identical to the serial engine by construction (shards share one
-  /// sequence counter) — the golden-digest suite pins the equivalence for
-  /// every golden cell. Threaded window execution is the kernel-level
-  /// fast path (see docs/parallel_des.md for the phase split).
   int shards = 0;
-
-  /// Collect des::ShardIntrospection on the sharded engine (per-shard
-  /// event/window counters, cross-shard message matrix, lookahead slack).
-  /// Observation only — never changes event order. Ignored when serial.
-  bool introspect = false;
 };
 
 struct SimConfig {

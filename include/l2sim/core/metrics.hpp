@@ -119,9 +119,7 @@ struct SimResult {
 /// failure buckets, throughput, latency quantiles, stage breakdown,
 /// imbalance statistics, per-node utilizations and the VIA message
 /// counters (doubles folded bit-for-bit). The golden-digest regression
-/// net pins engine behaviour with it, and the sharded-engine gates
-/// (tests/test_golden_results.cpp, bench/parallel_des_bench) compare
-/// serial and sharded runs through it — any reordered event or RNG draw
+/// net pins engine behaviour with it: any reordered event or RNG draw
 /// shows up as a digest mismatch.
 [[nodiscard]] std::uint64_t result_digest(const SimResult& r);
 

@@ -44,17 +44,16 @@ using EventFn = InlineEvent;
 class Scheduler {
  public:
   Scheduler() = default;
-  // Not movable: seq_src_ may point at next_seq_ (self-referential), and
-  // resources hold long-lived Scheduler&. Shards live behind unique_ptr.
+  // Not movable: resources hold long-lived Scheduler&.
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
   /// Schedule `fn` at absolute simulated time `t` (>= now()).
   void at(SimTime t, EventFn fn) {
     L2S_REQUIRE(t >= now_);
-    L2S_REQUIRE(*seq_src_ < kMaxSeq);
+    L2S_REQUIRE(next_seq_ < kMaxSeq);
     const std::uint32_t slot = acquire_slot(std::move(fn));
-    heap_.push_back(Key{((*seq_src_)++ << kSlotBits) | slot, t});
+    heap_.push_back(Key{(next_seq_++ << kSlotBits) | slot, t});
     sift_up(heap_.size() - 1);
   }
 
@@ -109,46 +108,6 @@ class Scheduler {
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
   [[nodiscard]] std::size_t pending() const { return heap_.size(); }
   [[nodiscard]] bool empty() const { return heap_.empty(); }
-
-  // --- sharded-execution hooks (see sharded_scheduler.hpp) ----------------
-
-  /// Priority of the next due event. The sequence number is globally unique
-  /// when shards share a counter (share_sequence), so a merge loop can order
-  /// whole shards by (time, seq) exactly as one heap would.
-  struct PeekKey {
-    SimTime time = 0;
-    std::uint64_t seq = 0;
-  };
-  [[nodiscard]] PeekKey peek() const {
-    L2S_REQUIRE(!heap_.empty());
-    return PeekKey{heap_[0].time, heap_[0].seq_slot >> kSlotBits};
-  }
-
-  /// Move the clock forward without running anything (t >= now()). The
-  /// sharded merge loop uses this to keep every shard's notion of "now"
-  /// equal to the global event clock, so a handler on shard A scheduling
-  /// through a reference to shard B sees the same time a single-heap run
-  /// would.
-  void advance_now(SimTime t) {
-    L2S_REQUIRE(t >= now_);
-    now_ = t;
-  }
-
-  /// Execute every event with time strictly below `end` (a conservative
-  /// window bound: events at exactly `end` may still gain same-time
-  /// predecessors from other shards, so they stay put). Unlike run_until
-  /// the clock is NOT advanced to `end` — it stops at the last event run.
-  void run_window(SimTime end) {
-    while (!heap_.empty() && heap_[0].time < end) step();
-  }
-
-  /// Draw sequence numbers from `counter` instead of the private one.
-  /// Shards of one ShardedScheduler share a counter in merge mode, making
-  /// the cross-heap (time, seq) order identical to a single heap's.
-  /// Passing nullptr restores the private counter.
-  void share_sequence(std::uint64_t* counter) {
-    seq_src_ = counter != nullptr ? counter : &next_seq_;
-  }
 
   /// Drop all pending events and reset the clock (new run). Capacity is
   /// retained so a reused scheduler stays allocation-free.
@@ -219,7 +178,6 @@ class Scheduler {
   std::vector<std::uint32_t> free_slots_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t* seq_src_ = &next_seq_;  ///< shared counter in merge mode
   std::uint64_t processed_ = 0;
 };
 

@@ -21,12 +21,8 @@
 //     hops are latency events, capacitated hops queue store-and-forward
 //     segments (segment_bytes) through Link FIFOs;
 //   * min_latency(src, dst) — a guaranteed lower bound on traverse for any
-//     payload and congestion: the sum of the path's switch latencies. This
-//     per-pair bound is what the sharded DES engine consumes as pairwise
-//     lookahead (shards aligned to racks get wider windows than the global
-//     single-switch bound allows);
-//   * rack_of(node) — the locality coordinate, which is also the shard
-//     alignment unit (TopologyConfig::rack_span);
+//     payload and congestion: the sum of the path's switch latencies;
+//   * rack_of(node) — the locality coordinate;
 //   * the Link set, for flow-level bandwidth sharing (flow.hpp) and
 //     per-link utilization telemetry.
 #pragma once
@@ -78,12 +74,6 @@ struct TopologyConfig {
   /// Throws l2s::Error on inconsistent geometry (e.g. nodes not divisible
   /// by racks, odd fat-tree arity, nodes beyond fat-tree capacity).
   void validate(int nodes) const;
-
-  /// The locality-group size shard partitioning aligns to: 1 for the
-  /// single switch (no locality), hosts-per-rack for rack-aware, k/2
-  /// (hosts per edge switch) for the fat-tree. Defensive against
-  /// not-yet-validated geometry: returns 1 rather than throwing.
-  [[nodiscard]] int rack_span(int nodes) const;
 
   [[nodiscard]] const char* kind_name() const;
 };

@@ -44,7 +44,7 @@ struct DiffReport {
 
 /// Replay both specs (recorder on, warm-up included) and compare their
 /// decision streams record by record. The specs may differ in any way —
-/// seed, shard count, policy, overload defenses — and each side realizes
+/// seed, policy, overload defenses — and each side realizes
 /// its own trace from spec.trace.
 [[nodiscard]] DiffReport diff_decisions(const core::ExperimentSpec& a,
                                         const core::ExperimentSpec& b,

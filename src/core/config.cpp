@@ -76,9 +76,8 @@ void SimConfig::validate() const {
         "SimConfig: a lossy fault plan requires retry.deadline_seconds or "
         "retry.attempt_timeout_seconds (a lost hand-off would otherwise hold "
         "its admission slot forever)");
-  if (engine.shards < EngineConfig::kAutoShards)
-    throw_error(
-        "SimConfig: engine.shards must be >= 0 or EngineConfig::kAutoShards");
+  if (engine.shards != 0)
+    throw_error("SimConfig: engine.shards must be 0 (only the serial DES engine exists)");
   if (arrival.open_loop_rate < 0.0)
     throw_error("SimConfig: arrival.open_loop_rate must be nonnegative");
   if (arrival.dns_entry_skew < 0.0 || arrival.dns_entry_skew > 1.0)

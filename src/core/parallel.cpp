@@ -1,5 +1,6 @@
 #include "l2sim/core/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <mutex>
@@ -12,20 +13,9 @@
 
 namespace l2s::core {
 
-unsigned engine_threads(const SimConfig& sim) {
-  // Sequential-merge sharding executes on the calling thread; when the
-  // threaded cluster engine arrives this becomes the shard-worker count.
-  (void)sim;
-  return 1;
-}
-
-unsigned compute_worker_threads(std::size_t jobs, unsigned per_job_threads,
-                                unsigned budget) {
+unsigned compute_worker_threads(std::size_t jobs, unsigned budget) {
   if (jobs == 0) return 0;
-  per_job_threads = std::max(1u, per_job_threads);
-  budget = std::max(1u, budget);
-  const unsigned fit = std::max(1u, budget / per_job_threads);
-  return std::min<unsigned>(fit, static_cast<unsigned>(jobs));
+  return static_cast<unsigned>(std::min<std::size_t>(std::max(1u, budget), jobs));
 }
 
 std::shared_ptr<const telemetry::Snapshot> merge_telemetry(
@@ -49,14 +39,8 @@ std::vector<SimResult> run_parallel(const std::vector<SimJob>& jobs, unsigned th
   std::vector<SimResult> results(jobs.size());
   if (jobs.empty()) return results;
 
-  // Shared thread budget: a worker running a simulation that itself uses
-  // k engine threads occupies k slots, so jobs x k never exceeds the
-  // budget (the pre-budget code oversubscribed as soon as jobs used
-  // internal parallelism).
-  unsigned per_job = 1;
-  for (const auto& job : jobs) per_job = std::max(per_job, engine_threads(job.sim));
   if (threads == 0) threads = thread_budget();
-  threads = compute_worker_threads(jobs.size(), per_job, threads);
+  threads = compute_worker_threads(jobs.size(), threads);
 
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};

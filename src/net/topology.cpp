@@ -67,20 +67,6 @@ void TopologyConfig::validate(int nodes) const {
   throw_error("topology: unknown kind");
 }
 
-int TopologyConfig::rack_span(int nodes) const {
-  switch (kind) {
-    case TopologyKind::kSingleSwitch:
-      return 1;
-    case TopologyKind::kRackAware:
-      if (racks >= 1 && nodes % racks == 0) return std::max(1, nodes / racks);
-      return 1;  // invalid geometry: validate() reports it with context
-    case TopologyKind::kFatTree:
-      if (fat_tree_k >= 2 && fat_tree_k % 2 == 0) return fat_tree_k / 2;
-      return 1;
-  }
-  return 1;
-}
-
 const char* TopologyConfig::kind_name() const {
   switch (kind) {
     case TopologyKind::kSingleSwitch: return "single-switch";

@@ -62,8 +62,7 @@ void write_topology_report(std::ostream& out, const net::Topology& topo,
   }
 
   // Rack-pair distance matrix: hop count and minimum latency between one
-  // representative node of each rack — the geometry the pairwise shard
-  // lookahead is derived from.
+  // representative node of each rack.
   const std::vector<int> rep = rack_representatives(topo);
   if (rep.size() > 1) {
     std::vector<std::string> header = {"rack\\rack"};

@@ -1,5 +1,6 @@
 #include "l2sim/trace/binary_io.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -13,10 +14,14 @@ namespace {
 
 constexpr char kMagic[4] = {'L', '2', 'S', 'T'};
 
-// Bounds used to reject corrupt headers before attempting huge allocations.
+// Bounds used to reject corrupt headers.
 constexpr std::uint64_t kMaxFiles = 1ull << 32;
 constexpr std::uint64_t kMaxRequests = 1ull << 36;
 constexpr std::uint32_t kMaxNameLength = 4096;
+// Header counts are not trusted to size allocations: a short input that
+// claims 2^36 requests must end in "truncated input", not bad_alloc. Up
+// to this many entries are reserved up front; the rest grow as read.
+constexpr std::uint64_t kMaxReserve = 1ull << 20;
 
 template <typename T>
 void put(std::ostream& out, T value) {
@@ -76,13 +81,13 @@ Trace read_binary(std::istream& in) {
   if (file_count == 0 || file_count > kMaxFiles)
     throw_error("binary trace: implausible file count");
   storage::FileSet files;
-  files.reserve(file_count);
+  files.reserve(std::min(file_count, kMaxReserve));
   for (std::uint64_t i = 0; i < file_count; ++i) files.add(get<std::uint64_t>(in));
 
   const auto request_count = get<std::uint64_t>(in);
   if (request_count > kMaxRequests) throw_error("binary trace: implausible request count");
   std::vector<Request> requests;
-  requests.reserve(request_count);
+  requests.reserve(std::min(request_count, kMaxReserve));
   for (std::uint64_t i = 0; i < request_count; ++i) {
     const auto file = get<std::uint32_t>(in);
     const auto bytes = get<std::uint64_t>(in);

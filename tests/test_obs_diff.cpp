@@ -1,8 +1,7 @@
 // Digest-divergence debugger: `diff_decisions` must report the EXACT first
 // record where two replays disagree (pinned against an offline record-by-
-// record comparison of two full collector runs), stay silent on identical
-// configurations, and treat serial-vs-sharded as identical (they are, by
-// the sequential-merge equivalence).
+// record comparison of two full collector runs) and stay silent on
+// identical configurations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -61,15 +60,6 @@ TEST(DecisionDiff, IdenticalSpecsReportNoDivergence) {
   EXPECT_GT(report.records_a, 0u);
   EXPECT_EQ(report.records_a, report.records_b);
   EXPECT_NE(report.summary().find("identical"), std::string::npos);
-}
-
-TEST(DecisionDiff, SerialVersusShardedIsIdentical) {
-  const auto tr = diff_trace();
-  const auto a = base_spec();
-  auto b = base_spec();
-  b.sim.engine.shards = 2;
-  const DiffReport report = diff_decisions(a, b, tr);
-  EXPECT_FALSE(report.diverged) << report.summary();
 }
 
 TEST(DecisionDiff, SeededDivergenceReportsTheExactFirstRecord) {

@@ -1,8 +1,7 @@
 // Decision-trace exporter round-trips: the CSV must reproduce every
 // retained record field for field, and the combined Chrome trace must parse
-// back with a real JSON parser — decision instants on the node tracks, flow
-// arrows pairing up across cross-node dispatches, and shard sample series
-// landing on their own named processes.
+// back with a real JSON parser — decision instants on the node tracks and
+// flow arrows pairing up across cross-node dispatches.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -334,37 +333,6 @@ TEST(DecisionExport, DispatchFlowArrowsPairUpAcrossNodes) {
   }
   EXPECT_EQ(starts.size(), cross_node);
   EXPECT_EQ(starts, finishes);  // every arrow has both ends
-}
-
-TEST(DecisionExport, ShardSeriesGetNamedProcessTracks) {
-  // A registry with a per-shard sample series must give the shard its own
-  // trace process (pid 10000 + shard) with a "shard N" name, and route the
-  // counter samples there — not onto node 0's track.
-  telemetry::Registry registry;
-  registry.sample_series("shard.window_timeline", {{"shard", "1"}}).add(1000, 7.0);
-  const telemetry::Snapshot snap = registry.snapshot();
-
-  std::ostringstream out;
-  telemetry::write_chrome_trace(out, snap);
-  JsonValue root = JsonParser(out.str()).parse();
-
-  bool named = false;
-  bool routed = false;
-  for (const JsonValue& ev : root.object().at("traceEvents").array()) {
-    const JsonObject& obj = ev.object();
-    const std::string& ph = obj.at("ph").str();
-    const int pid = static_cast<int>(obj.at("pid").num());
-    if (ph == "M" && obj.at("name").str() == "process_name" && pid == 10001) {
-      EXPECT_EQ(obj.at("args").object().at("name").str(), "shard 1");
-      named = true;
-    }
-    if (ph == "C" && obj.at("name").str() == "shard.window_timeline") {
-      EXPECT_EQ(pid, 10001);
-      routed = true;
-    }
-  }
-  EXPECT_TRUE(named);
-  EXPECT_TRUE(routed);
 }
 
 }  // namespace

@@ -195,30 +195,24 @@ TEST(Parallel, FigureMatchesSerialRunner) {
 }
 
 TEST(Parallel, WorkerCountRespectsTheSharedThreadBudget) {
-  // jobs x per-job-threads must never exceed the budget: a sweep of
-  // sharded simulations on an 8-way machine gets 8/k workers, not 8.
-  EXPECT_EQ(compute_worker_threads(16, 1, 8), 8u);
-  EXPECT_EQ(compute_worker_threads(16, 2, 8), 4u);
-  EXPECT_EQ(compute_worker_threads(16, 3, 8), 2u);
-  EXPECT_EQ(compute_worker_threads(16, 8, 8), 1u);
-  // A single job may overshoot the budget alone (progress beats strictness).
-  EXPECT_EQ(compute_worker_threads(16, 9, 8), 1u);
+  // Each job runs on one thread, so the pool is the budget, capped at the
+  // job count.
+  EXPECT_EQ(compute_worker_threads(16, 8), 8u);
+  EXPECT_EQ(compute_worker_threads(16, 1), 1u);
   // Never more workers than jobs.
-  EXPECT_EQ(compute_worker_threads(3, 1, 8), 3u);
-  EXPECT_EQ(compute_worker_threads(0, 1, 8), 0u);
-  // Degenerate inputs are clamped rather than dividing by zero.
-  EXPECT_EQ(compute_worker_threads(4, 0, 0), 1u);
+  EXPECT_EQ(compute_worker_threads(3, 8), 3u);
+  EXPECT_EQ(compute_worker_threads(0, 8), 0u);
+  // A zero budget still runs one worker.
+  EXPECT_EQ(compute_worker_threads(4, 0), 1u);
 }
 
-TEST(Parallel, EngineThreadsIsOneForTheMergeModeClusterEngine) {
-  // The sharded cluster engine executes in sequential-merge mode, so a
-  // sharded job still occupies a single budget slot; this pin documents
-  // the contract the threaded cluster engine will have to update.
-  SimConfig serial;
-  SimConfig sharded;
-  sharded.engine.shards = EngineConfig::kAutoShards;
-  EXPECT_EQ(engine_threads(serial), 1u);
-  EXPECT_EQ(engine_threads(sharded), 1u);
+TEST(ThreadBudget, EnvOverrideAndDefault) {
+  ASSERT_EQ(setenv("L2SIM_THREADS", "3", 1), 0);
+  EXPECT_EQ(thread_budget(), 3u);
+  ASSERT_EQ(setenv("L2SIM_THREADS", "-1", 1), 0);
+  EXPECT_THROW((void)thread_budget(), Error);
+  ASSERT_EQ(unsetenv("L2SIM_THREADS"), 0);
+  EXPECT_GE(thread_budget(), 1u);  // hardware concurrency, floored at 1
 }
 
 TEST(Parallel, ThreadBudgetEnvOverrideBoundsTheWorkerPool) {

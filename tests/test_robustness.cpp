@@ -2,11 +2,14 @@
 // randomized structural checks that complement the per-module unit tests.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
+#include "l2sim/common/error.hpp"
 #include "l2sim/common/rng.hpp"
 #include "l2sim/core/experiment.hpp"
-#include "l2sim/des/process.hpp"
+#include "l2sim/trace/binary_io.hpp"
 #include "l2sim/trace/clf_reader.hpp"
 #include "l2sim/trace/synthetic.hpp"
 
@@ -63,31 +66,38 @@ TEST(ClfFuzz, MutatedValidLinesStayConsistent) {
 }
 
 // ---------------------------------------------------------------------------
-// Randomized StageChain structure: total completion time equals the sum of
-// stage durations when resources are fresh.
+// Binary trace headers: counts near the accepted bounds with no payload
+// behind them must fail as truncated input, never as an allocation error.
 
-TEST(StageChainRandom, CompletionTimeIsSumOfStages) {
-  Rng rng(42);
-  for (int round = 0; round < 30; ++round) {
-    des::Scheduler sched;
-    std::vector<std::unique_ptr<des::Resource>> resources;
-    des::StageChain chain(sched);
-    SimTime expected = 0;
-    const auto stages = 1 + rng.next_below(12);
-    for (std::uint64_t i = 0; i < stages; ++i) {
-      const auto d = static_cast<SimTime>(1 + rng.next_below(1000));
-      expected += d;
-      if (rng.next_below(2) == 0) {
-        resources.push_back(std::make_unique<des::Resource>(sched, "r"));
-        chain.use(*resources.back(), d);
-      } else {
-        chain.delay(d);
-      }
+std::string l2st_header(std::uint64_t file_count, bool with_file,
+                        std::uint64_t request_count) {
+  std::string out = "L2ST";
+  const auto put = [&out](auto value) {
+    out.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  put(trace::kBinaryTraceVersion);
+  put(std::uint32_t{0});  // empty name
+  put(file_count);
+  if (with_file) {
+    put(std::uint64_t{1024});  // one file size
+    put(request_count);
+  }
+  return out;
+}
+
+TEST(BinaryTraceHeader, HugeCountsWithoutPayloadAreTruncated) {
+  const std::string huge_requests = l2st_header(1, true, std::uint64_t{1} << 36);
+  ASSERT_EQ(huge_requests.size(), 36u);
+  const std::string huge_files = l2st_header(std::uint64_t{1} << 32, false, 0);
+  for (const std::string& bytes : {huge_requests, huge_files}) {
+    std::istringstream in(bytes);
+    try {
+      (void)trace::read_binary(in);
+      FAIL() << "expected a truncated-input error";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated input"), std::string::npos)
+          << e.what();
     }
-    SimTime done_at = -1;
-    chain.run([&] { done_at = sched.now(); });
-    sched.run();
-    EXPECT_EQ(done_at, expected) << "round " << round;
   }
 }
 

@@ -154,6 +154,10 @@ TEST(Simulation, ConfigValidation) {
   EXPECT_THROW(ClusterSimulation(bad, tr, std::make_unique<policy::TraditionalPolicy>()),
                Error);
   EXPECT_THROW(ClusterSimulation(small_config(2), tr, nullptr), Error);
+  // Only the serial engine exists: any engine.shards but 0 is rejected.
+  bad = small_config(2);
+  bad.engine.shards = 1;
+  EXPECT_THROW(bad.validate(), Error);
 }
 
 TEST(Simulation, EmptyTraceRejected) {
