@@ -4,10 +4,15 @@
 // inline buffer sized for the capture sets the simulator actually creates
 // (`[this, conn]`, `[this, conn, bytes]`, ... — a pointer, a shared_ptr and
 // a few scalars). Callables that fit are stored in place: scheduling an
-// event performs zero heap allocations. Oversized captures (mostly nested
-// continuations that capture another InlineEvent) spill into EventArena, a
-// thread-local size-classed free list, so even the spill path stops
-// allocating once the simulation reaches steady state.
+// event performs zero heap allocations. The layers above keep their hot
+// events inside the buffer: a des::Resource holds its in-service job's
+// continuation in a member, so its completion event captures only `this`,
+// and the VIA layer's stage events capture a pooled message record rather
+// than the next continuation. Oversized captures — now rare, e.g. the
+// flow-network bulk path, whose completion captures the caller's
+// InlineEvent — spill into EventArena, a thread-local size-classed free
+// list, so even the spill path stops allocating once the simulation
+// reaches steady state.
 //
 // Contrast with std::function: libstdc++'s inline buffer is 16 bytes, so
 // nearly every event the simulator schedules used to heap-allocate, and the

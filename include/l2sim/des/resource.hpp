@@ -1,6 +1,12 @@
 // Single-server FIFO resource: the building block for CPUs, disks, NICs
 // and the router. Jobs queue in arrival order; the resource tracks busy
 // time (for utilization/idle-time reports) and queue statistics.
+//
+// The job in service keeps its `done` callable and service time in the
+// resource itself, so its completion event captures only `this`: it fits
+// InlineEvent's buffer and relocates by memcpy, whatever `done` captures.
+// An idle resource starts a submitted job directly; only jobs that arrive
+// while the server is busy go through the queue.
 #pragma once
 
 #include <cstdint>
@@ -40,12 +46,18 @@ class Resource {
     EventFn done;
   };
 
-  void start_next();
+  /// Put a job in service and schedule its completion.
+  void start(SimTime service, EventFn done);
+  /// The completion event: stats, then the next queued job (its event is
+  /// scheduled here), then the finished job's `done`.
+  void complete();
 
   Scheduler& sched_;
   std::string name_;
   std::deque<Job> queue_;
   bool busy_ = false;
+  SimTime service_ = 0;  ///< service time of the job in service
+  EventFn done_;         ///< continuation of the job in service
   SimTime busy_time_ = 0;
   std::uint64_t jobs_ = 0;
 };

@@ -9,10 +9,23 @@
 // point-to-point messages, exactly as the paper's simulator does — each
 // one charged along its own topology path, so a cross-rack destination
 // pays its real hop count.
+//
+// Each message in flight is one record from a pool the network owns
+// (stable addresses, recycled through a free list). The record carries
+// src, dst, bytes, the NIC transfer time and the delivery continuation, so
+// every stage event captures only `[this, record]` and stays inside
+// InlineEvent's buffer. A broadcast stores its callback once, in a pooled,
+// reference-counted fan-out record; each of its N-1 messages points at it
+// and carries only its own destination. Records return to their pools on
+// every outcome, a fault-model drop included.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <deque>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "l2sim/des/resource.hpp"
@@ -50,6 +63,10 @@ class ViaNetwork {
   };
 
   ViaNetwork(des::Scheduler& sched, Topology& topology, const NetParams& params);
+  ~ViaNetwork();
+
+  ViaNetwork(const ViaNetwork&) = delete;
+  ViaNetwork& operator=(const ViaNetwork&) = delete;
 
   /// Register a node's CPU and NIC; returns its endpoint id.
   int add_endpoint(Endpoint ep);
@@ -70,7 +87,10 @@ class ViaNetwork {
   void send(int src, int dst, Bytes bytes, des::EventFn on_delivered);
 
   /// N-1 point-to-point sends; `on_delivered(dst)` fires per destination.
-  void broadcast(int src, Bytes bytes, const std::function<void(int dst)>& on_delivered);
+  /// The callable is stored once per broadcast, not once per message.
+  template <typename F>
+    requires std::is_invocable_v<std::remove_cvref_t<F>&, int>
+  void broadcast(int src, Bytes bytes, F&& on_delivered);
 
   /// Install (or clear, with nullptr) the per-message fault oracle. The
   /// model must outlive the network or be cleared before it dies.
@@ -83,6 +103,14 @@ class ViaNetwork {
   [[nodiscard]] const Topology& topology() const { return topo_; }
 
   [[nodiscard]] std::uint64_t messages_sent() const { return messages_; }
+  /// Records each pool has ever created. Records are recycled, so once a
+  /// workload reaches its peak number of messages (and broadcasts) in
+  /// flight, these stop growing.
+  struct PoolSizes {
+    std::size_t messages = 0;
+    std::size_t fanouts = 0;
+  };
+  [[nodiscard]] PoolSizes pool_sizes() const { return {msgs_.size(), fans_.size()}; }
   [[nodiscard]] std::uint64_t messages_dropped() const { return dropped_; }
   [[nodiscard]] std::uint64_t messages_duplicated() const { return duplicated_; }
   [[nodiscard]] std::uint64_t messages_delayed() const { return delayed_; }
@@ -108,6 +136,49 @@ class ViaNetwork {
   }
 
  private:
+  /// One broadcast's callback, shared by its N-1 messages and destroyed
+  /// when the last of them is delivered or dropped.
+  struct Fanout {
+    static constexpr std::size_t kSize = 48;
+    static constexpr std::size_t kAlign = 16;
+    alignas(kAlign) unsigned char fn[kSize];  ///< the callable, constructed in place
+    void (*invoke)(void* fn, int dst) = nullptr;
+    void (*destroy)(void* fn) noexcept = nullptr;  ///< nullptr while the record is free
+    int refs = 0;
+  };
+
+  /// One message in flight.
+  struct Msg {
+    int src = 0;
+    int dst = 0;
+    Bytes bytes = 0;
+    SimTime xfer = 0;   ///< NIC transfer time, paid at both ends
+    SimTime extra = 0;  ///< fault: delay before the receiver NIC
+    bool dup = false;   ///< fault: a suppressed copy burns receiver NIC time
+    bool cpu = false;   ///< send(): charge the destination CPU before delivery
+    Fanout* fan = nullptr;  ///< broadcast member: deliver through fan
+    des::EventFn done;      ///< point-to-point continuation (fan == nullptr)
+  };
+
+  void check_pair(int src, int dst) const;
+  Msg* acquire_msg(int src, int dst, Bytes bytes);
+  /// Return `m` to the pool, destroying its continuation or dropping its
+  /// fan-out reference.
+  void release(Msg* m);
+  Fanout* acquire_fanout(int src);
+  void unref(Fanout* fan);
+  /// Post one message per peer of `src`, each referencing `fan`.
+  void fan_out(int src, Bytes bytes, Fanout* fan);
+
+  // The stages of a message, in order. send() enters at cpu_send,
+  // transmit() at nic_send.
+  void cpu_send(Msg* m);
+  void nic_send(Msg* m);
+  void wire_done(Msg* m);
+  void arrive(Msg* m);
+  void nic_received(Msg* m);
+  void deliver(Msg* m);
+
   des::Scheduler& sched_;
   Topology& topo_;
   const NetParams& params_;
@@ -119,6 +190,23 @@ class ViaNetwork {
   std::uint64_t duplicated_ = 0;
   std::uint64_t delayed_ = 0;
   std::uint64_t delivered_ = 0;
+  std::deque<Msg> msgs_;
+  std::vector<Msg*> free_msgs_;
+  std::deque<Fanout> fans_;
+  std::vector<Fanout*> free_fans_;
 };
+
+template <typename F>
+  requires std::is_invocable_v<std::remove_cvref_t<F>&, int>
+void ViaNetwork::broadcast(int src, Bytes bytes, F&& on_delivered) {
+  using Fn = std::remove_cvref_t<F>;
+  static_assert(sizeof(Fn) <= Fanout::kSize && alignof(Fn) <= Fanout::kAlign,
+                "broadcast callable does not fit the fan-out record");
+  Fanout* fan = acquire_fanout(src);
+  ::new (static_cast<void*>(fan->fn)) Fn(std::forward<F>(on_delivered));
+  fan->invoke = [](void* p, int dst) { (*static_cast<Fn*>(p))(dst); };
+  fan->destroy = [](void* p) noexcept { static_cast<Fn*>(p)->~Fn(); };
+  fan_out(src, bytes, fan);
+}
 
 }  // namespace l2s::net

@@ -9,23 +9,31 @@ Resource::Resource(Scheduler& sched, std::string name)
 
 void Resource::submit(SimTime service, EventFn done) {
   L2S_REQUIRE(service >= 0);
-  queue_.push_back(Job{service, std::move(done)});
-  if (!busy_) start_next();
+  if (busy_) {
+    queue_.push_back(Job{service, std::move(done)});
+  } else {
+    start(service, std::move(done));
+  }
 }
 
-void Resource::start_next() {
-  L2S_REQUIRE(!busy_ && !queue_.empty());
+void Resource::start(SimTime service, EventFn done) {
   busy_ = true;
-  Job job = std::move(queue_.front());
-  queue_.pop_front();
-  const SimTime service = job.service;
-  sched_.after(service, [this, service, done = std::move(job.done)]() mutable {
-    busy_time_ += service;
-    ++jobs_;
-    busy_ = false;
-    if (!queue_.empty()) start_next();
-    done();
-  });
+  service_ = service;
+  done_ = std::move(done);
+  sched_.after(service, [this]() { complete(); });
+}
+
+void Resource::complete() {
+  busy_time_ += service_;
+  ++jobs_;
+  busy_ = false;
+  EventFn done = std::move(done_);
+  if (!queue_.empty()) {
+    Job next = std::move(queue_.front());
+    queue_.pop_front();
+    start(next.service, std::move(next.done));
+  }
+  done();
 }
 
 double Resource::utilization(SimTime elapsed) const {

@@ -6,9 +6,19 @@ namespace l2s::policy {
 
 const std::vector<int> ServerSetMap::kEmpty{};
 
+ServerSetMap::Entry& ServerSetMap::touch(storage::FileId file) {
+  if (file >= entries_.size()) entries_.resize(std::size_t{file} + 1);
+  Entry& entry = entries_[file];
+  if (!entry.tracked) {
+    entry.tracked = true;
+    ++tracked_;
+  }
+  return entry;
+}
+
 const std::vector<int>& ServerSetMap::members(storage::FileId file) const {
-  const auto it = sets_.find(file);
-  return it == sets_.end() ? kEmpty : it->second.nodes;
+  const Entry* entry = find(file);
+  return entry == nullptr ? kEmpty : entry->nodes;
 }
 
 bool ServerSetMap::contains(storage::FileId file, int node) const {
@@ -17,36 +27,35 @@ bool ServerSetMap::contains(storage::FileId file, int node) const {
 }
 
 void ServerSetMap::add(storage::FileId file, int node, SimTime now) {
-  auto& entry = sets_[file];
+  Entry& entry = touch(file);
   if (std::find(entry.nodes.begin(), entry.nodes.end(), node) != entry.nodes.end()) return;
   entry.nodes.push_back(node);
   entry.modified = now;
 }
 
 void ServerSetMap::remove(storage::FileId file, int node, SimTime now) {
-  const auto it = sets_.find(file);
-  if (it == sets_.end()) return;
-  auto& nodes = it->second.nodes;
-  const auto pos = std::find(nodes.begin(), nodes.end(), node);
-  if (pos == nodes.end()) return;
-  nodes.erase(pos);
-  it->second.modified = now;
+  if (file >= entries_.size()) return;
+  Entry& entry = entries_[file];
+  const auto pos = std::find(entry.nodes.begin(), entry.nodes.end(), node);
+  if (pos == entry.nodes.end()) return;
+  entry.nodes.erase(pos);
+  entry.modified = now;
 }
 
-void ServerSetMap::replace(storage::FileId file, std::vector<int> nodes, SimTime now) {
-  auto& entry = sets_[file];
-  entry.nodes = std::move(nodes);
+void ServerSetMap::replace(storage::FileId file, const std::vector<int>& nodes, SimTime now) {
+  Entry& entry = touch(file);
+  entry.nodes = nodes;
   entry.modified = now;
 }
 
 SimTime ServerSetMap::last_modified(storage::FileId file) const {
-  const auto it = sets_.find(file);
-  return it == sets_.end() ? 0 : it->second.modified;
+  const Entry* entry = find(file);
+  return entry == nullptr ? 0 : entry->modified;
 }
 
 std::size_t ServerSetMap::total_members() const {
   std::size_t total = 0;
-  for (const auto& [file, entry] : sets_) total += entry.nodes.size();
+  for (const Entry& entry : entries_) total += entry.nodes.size();
   return total;
 }
 

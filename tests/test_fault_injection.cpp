@@ -3,9 +3,11 @@
 // message loss, fail-slow degradation, and the VIA fault-layer accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
 #include <utility>
+#include <vector>
 
 #include "l2sim/core/simulation.hpp"
 #include "l2sim/fault/detector.hpp"
@@ -154,6 +156,82 @@ TEST(FaultInjection, ResetStatsClearsTheFaultCountersToo) {
   EXPECT_EQ(f.via.messages_dropped(), 0u);
   EXPECT_EQ(f.via.messages_duplicated(), 0u);
   EXPECT_EQ(f.via.messages_delayed(), 0u);
+}
+
+// Drops every other message; of the survivors, every other one is
+// duplicated and the rest are delayed.
+struct AlternatingFaults final : net::LinkFaultModel {
+  int calls = 0;
+  std::vector<int> dropped;  ///< destinations whose message was dropped
+  net::LinkFault on_message(int /*src*/, int dst) override {
+    net::LinkFault f;
+    const int k = calls++;
+    if (k % 2 == 0) {
+      f.drop = true;
+      dropped.push_back(dst);
+    } else if (k % 4 == 1) {
+      f.duplicate = true;
+    } else {
+      f.extra_delay = seconds_to_simtime(0.002);
+    }
+    return f;
+  }
+};
+
+TEST(FaultInjection, BroadcastRecordsRecycleThroughDropsDuplicatesAndDelays) {
+  constexpr int kNodes = 8;
+  constexpr int kSrc = 2;
+  ViaFixture f(kNodes);
+  AlternatingFaults faults;
+  f.via.set_fault_model(&faults);
+  std::vector<int> hits;
+  const auto broadcast_once = [&] {
+    faults.calls = 0;
+    faults.dropped.clear();
+    hits.assign(kNodes, 0);
+    auto token = std::make_shared<int>(0);
+    f.via.broadcast(kSrc, 16, [&hits, token](int dst) { ++hits[static_cast<std::size_t>(dst)]; });
+    f.sched.run();
+    // The shared callback died with the last of its messages.
+    EXPECT_EQ(token.use_count(), 1);
+    ASSERT_EQ(faults.dropped.size(), 4u);  // 7 messages: calls 0, 2, 4, 6
+    for (int dst = 0; dst < kNodes; ++dst) {
+      const bool dropped = std::find(faults.dropped.begin(), faults.dropped.end(), dst) !=
+                           faults.dropped.end();
+      const int expected = (dst == kSrc || dropped) ? 0 : 1;
+      EXPECT_EQ(hits[static_cast<std::size_t>(dst)], expected) << "dst " << dst;
+    }
+    EXPECT_EQ(f.via.in_flight(), 0u);
+  };
+
+  broadcast_once();
+  EXPECT_EQ(f.via.messages_dropped(), 4u);
+  EXPECT_EQ(f.via.messages_duplicated(), 2u);
+  EXPECT_EQ(f.via.messages_delayed(), 1u);
+  const net::ViaNetwork::PoolSizes pools = f.via.pool_sizes();
+  EXPECT_EQ(pools.fanouts, 1u);
+  EXPECT_LE(pools.messages, static_cast<std::size_t>(kNodes - 1));
+
+  broadcast_once();
+  EXPECT_EQ(f.via.pool_sizes().messages, pools.messages);
+  EXPECT_EQ(f.via.pool_sizes().fanouts, pools.fanouts);
+}
+
+TEST(FaultInjection, DroppedMessageReleasesItsCallableAtTheDrop) {
+  ViaFixture f(2);
+  ScriptedFaults faults;
+  faults.next.drop = true;
+  f.via.set_fault_model(&faults);
+  auto token = std::make_shared<int>(0);
+  f.via.send(0, 1, 16, [token] {});
+  EXPECT_EQ(token.use_count(), 2);
+  // The drop is decided once the 3 us sender-CPU stage ends; the sender's
+  // NIC is still busy with the doomed bytes.
+  f.sched.run_until(seconds_to_simtime(4e-6));
+  EXPECT_FALSE(f.sched.empty());
+  EXPECT_EQ(token.use_count(), 1);
+  f.sched.run();
+  EXPECT_EQ(f.via.in_flight(), 0u);
 }
 
 // --- crash / recover integration -----------------------------------------

@@ -122,5 +122,26 @@ TEST(Resource, QueueLengthReflectsWaiters) {
   EXPECT_EQ(r.queue_length(), 0u);
 }
 
+TEST(Resource, CompletionEventStaysInline) {
+  // The job in service keeps its continuation in the resource, so the
+  // completion event captures only `this` and never spills to the arena —
+  // whether the job started on an idle server or waited in the queue.
+  Scheduler s;
+  Resource r(s, "cpu");
+  std::vector<int> order;
+  const EventArena::Stats before = EventArena::stats();
+  r.submit(10, [&order] { order.push_back(1); });  // idle: starts at once
+  r.submit(10, [&order] { order.push_back(2); });  // busy: queued
+  r.submit(10, [&order] { order.push_back(3); });
+  s.run();
+  r.submit(5, [&order] { order.push_back(4); });  // idle again
+  s.run();
+  const EventArena::Stats after = EventArena::stats();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(s.now(), 35);
+  EXPECT_EQ(after.fresh_blocks, before.fresh_blocks);
+  EXPECT_EQ(after.reused_blocks, before.reused_blocks);
+}
+
 }  // namespace
 }  // namespace l2s::des

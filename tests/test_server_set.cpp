@@ -66,5 +66,62 @@ TEST(ServerSetMap, CountsFilesAndMembers) {
   EXPECT_EQ(m.tracked_files(), 0u);
 }
 
+TEST(ServerSetMap, FileBeyondTableReadsAsUnassigned) {
+  ServerSetMap m;
+  m.add(3, 1, 10);
+  EXPECT_TRUE(m.members(1000).empty());
+  EXPECT_FALSE(m.contains(1000, 1));
+  EXPECT_EQ(m.last_modified(1000), 0);
+  // An id inside the table that was never assigned reads the same way.
+  EXPECT_TRUE(m.members(2).empty());
+  EXPECT_EQ(m.last_modified(2), 0);
+  EXPECT_EQ(m.tracked_files(), 1u);
+}
+
+TEST(ServerSetMap, RemoveOnUntrackedFileIsNoOp) {
+  ServerSetMap m;
+  m.remove(5, 0, 100);  // beyond the table
+  m.add(9, 0, 10);
+  m.remove(5, 0, 100);  // inside the table, never assigned
+  EXPECT_EQ(m.tracked_files(), 1u);
+  EXPECT_EQ(m.total_members(), 1u);
+  EXPECT_EQ(m.last_modified(5), 0);
+}
+
+TEST(ServerSetMap, SetEmptiedByRemoveStaysTracked) {
+  ServerSetMap m;
+  m.add(4, 2, 10);
+  m.remove(4, 2, 20);
+  EXPECT_TRUE(m.members(4).empty());
+  EXPECT_EQ(m.last_modified(4), 20);
+  EXPECT_EQ(m.tracked_files(), 1u);
+  EXPECT_EQ(m.total_members(), 0u);
+}
+
+TEST(ServerSetMap, ClearResetsBothCounts) {
+  ServerSetMap m;
+  m.add(1, 0, 0);
+  m.replace(7, {1, 2}, 5);
+  ASSERT_EQ(m.tracked_files(), 2u);
+  ASSERT_EQ(m.total_members(), 3u);
+  m.clear();
+  EXPECT_EQ(m.tracked_files(), 0u);
+  EXPECT_EQ(m.total_members(), 0u);
+  EXPECT_TRUE(m.members(7).empty());
+  EXPECT_EQ(m.last_modified(7), 0);
+}
+
+TEST(ServerSetMap, ReplaceCopiesAndKeepsMemberOrder) {
+  ServerSetMap m;
+  const std::vector<int> nodes{3, 1, 2};
+  m.replace(6, nodes, 40);
+  EXPECT_EQ(nodes, (std::vector<int>{3, 1, 2}));  // the caller's copy is untouched
+  EXPECT_EQ(m.members(6), nodes);
+  m.replace(6, std::vector<int>{5}, 50);
+  EXPECT_EQ(m.members(6), (std::vector<int>{5}));
+  EXPECT_EQ(nodes, (std::vector<int>{3, 1, 2}));
+  EXPECT_EQ(m.tracked_files(), 1u);
+}
+
 }  // namespace
 }  // namespace l2s::policy

@@ -66,6 +66,22 @@ TEST(Via, BroadcastReachesAllOthers) {
   EXPECT_EQ(f.via.messages_sent(), 3u);
 }
 
+TEST(Via, HealthyBroadcastUsesNoArenaBlocks) {
+  // Every stage event of every message captures only the network and the
+  // message record, so a broadcast schedules nothing that spills.
+  ViaFixture f(16);
+  std::vector<int> arrived;
+  arrived.reserve(16);
+  const des::EventArena::Stats before = des::EventArena::stats();
+  f.via.broadcast(3, 16, [&arrived](int dst) { arrived.push_back(dst); });
+  f.sched.run();
+  const des::EventArena::Stats after = des::EventArena::stats();
+  EXPECT_EQ(arrived.size(), 15u);
+  EXPECT_EQ(f.via.in_flight(), 0u);
+  EXPECT_EQ(after.fresh_blocks, before.fresh_blocks);
+  EXPECT_EQ(after.reused_blocks, before.reused_blocks);
+}
+
 TEST(Via, MessagesShareCpuWithOtherWork) {
   ViaFixture f(2);
   // Occupy the sender's CPU; the VIA send must wait its turn.

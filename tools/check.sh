@@ -36,7 +36,11 @@
 #      (`-L largen`), the chaos-harness suite (`-L chaos`: overload
 #      defenses + non-stationary arrivals + faults composed), and the
 #      analytic-model suites (`-L model`: Che fixed points, transient
-#      curves, the hierarchical solver and the planner)
+#      curves, the hierarchical solver and the planner); plus, from
+#      l2sim_tests, the event kernel and L2S control plane (Via, Resource,
+#      ServerSetMap, L2sPolicy, LardPolicy, LardDispatcher, Scheduler,
+#      GoldenResults) — pooled VIA message and fan-out records are raw
+#      pointers, so their lifetime bugs would surface here
 #  11. ThreadSanitizer build, running the scheduler/event-kernel,
 #      run_parallel (including per-job telemetry + merge), thread-budget
 #      and determinism tests, plus the fault, telemetry, obs, topo, largen
@@ -46,6 +50,9 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+# ctest 3.25 reads the word after a bare `-j` as its job count, so a
+# bare `-j` followed by -L/-R silently drops the filter. Always pass a number.
+jobs="$(nproc)"
 skip_tsan=0
 skip_asan=0
 skip_bench=0
@@ -92,19 +99,21 @@ if [[ "$skip_bench" -eq 0 ]]; then
 fi
 
 if [[ "$skip_asan" -eq 0 ]]; then
-  echo "== AddressSanitizer: fault + telemetry + obs + topo + largen + chaos + model suites =="
+  echo "== AddressSanitizer: fault + telemetry + obs + topo + largen + chaos + model suites, kernel + control plane =="
   cmake -B build-asan -S . -DL2SIM_SANITIZE=address >/dev/null
-  cmake --build build-asan -j --target l2sim_fault_tests l2sim_telemetry_tests l2sim_obs_tests l2sim_topo_tests l2sim_largen_tests l2sim_chaos_tests l2sim_model_tests
-  ctest --test-dir build-asan --output-on-failure -j -L 'fault|telemetry|obs|topo|largen|chaos|model'
+  cmake --build build-asan -j --target l2sim_tests l2sim_fault_tests l2sim_telemetry_tests l2sim_obs_tests l2sim_topo_tests l2sim_largen_tests l2sim_chaos_tests l2sim_model_tests
+  ctest --test-dir build-asan --output-on-failure -j "$jobs" -L 'fault|telemetry|obs|topo|largen|chaos|model'
+  ctest --test-dir build-asan --output-on-failure -j "$jobs" \
+    -R '^(Via|Resource|ServerSetMap|L2sPolicy|LardPolicy|LardDispatcher|Scheduler|GoldenResults)\.'
 fi
 
 if [[ "$skip_tsan" -eq 0 ]]; then
   echo "== ThreadSanitizer: scheduler + parallel + fault + telemetry + obs + topo + chaos tests =="
   cmake -B build-tsan -S . -DL2SIM_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j --target l2sim_tests l2sim_fault_tests l2sim_telemetry_tests l2sim_obs_tests l2sim_topo_tests l2sim_largen_tests l2sim_chaos_tests
-  ctest --test-dir build-tsan --output-on-failure -j \
+  ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
     -R 'Scheduler|ThreadBudget|Parallel|Determinism'
-  ctest --test-dir build-tsan --output-on-failure -j -L 'fault|telemetry|obs|topo|largen|chaos'
+  ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L 'fault|telemetry|obs|topo|largen|chaos'
 fi
 
 echo "check.sh: all green"
