@@ -6,6 +6,8 @@
 // replay.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "l2sim/cache/gdsf_cache.hpp"
 #include "l2sim/cache/lru_cache.hpp"
 #include "l2sim/cache/stack_distance.hpp"
@@ -79,6 +81,30 @@ void BM_LruCacheChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LruCacheChurn);
+
+void BM_LruCacheClarkNet(benchmark::State& state) {
+  // The trad-miss-16 access pattern: lookup, then insert on a miss, over
+  // ClarkNet's Zipf(0.78) popularity and file sizes into a 32 MiB node.
+  // The id stream is drawn up front so only the cache is timed.
+  trace::SyntheticSpec spec = trace::paper_trace_spec("clarknet");
+  spec.requests = 1;  // only the file set is needed
+  const auto tr = trace::generate(spec);
+  const zipf::ZipfSampler popularity(35885, 0.78);
+  Rng rng(13);
+  std::vector<cache::FileId> ids(std::size_t{1} << 20);
+  for (auto& id : ids) id = static_cast<cache::FileId>(popularity.sample(rng));
+  cache::LruCache cache(32 * kMiB);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const cache::FileId id = ids[i];
+    const bool hit = cache.lookup(id);
+    benchmark::DoNotOptimize(hit);
+    if (!hit) cache.insert(id, tr.files().size_of(id));
+    i = (i + 1) & (ids.size() - 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LruCacheClarkNet);
 
 void BM_ZipfSample(benchmark::State& state) {
   const zipf::ZipfSampler sampler(35885, 0.78);

@@ -25,7 +25,8 @@ class FileCache {
   [[nodiscard]] virtual bool contains(FileId id) const = 0;
 
   /// Make a file of `size` bytes resident, evicting as needed. Files
-  /// larger than the whole capacity are not cached.
+  /// larger than the whole capacity are not cached; re-inserting a
+  /// resident file at such a size drops it, as erase() would.
   virtual void insert(FileId id, Bytes size) = 0;
 
   /// Remove a file if present; returns true if it was resident.

@@ -50,7 +50,11 @@ void GdsfCache::evict_one() {
 }
 
 void GdsfCache::insert(FileId id, Bytes size) {
-  if (size > capacity_) return;
+  if (size > capacity_) {
+    // Cannot ever fit: serve from disk each time, and drop a stale copy.
+    erase(id);
+    return;
+  }
   const auto it = index_.find(id);
   if (it != index_.end()) {
     used_ -= it->second.size;

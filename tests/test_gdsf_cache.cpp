@@ -70,6 +70,18 @@ TEST(GdsfCache, OversizedNeverCached) {
   EXPECT_EQ(c.used(), 0u);
 }
 
+TEST(GdsfCache, OversizedReinsertDropsResidentCopy) {
+  GdsfCache c(100);
+  c.insert(1, 40);
+  c.insert(2, 30);
+  c.insert(1, 101);  // re-stat beyond the whole capacity
+  EXPECT_FALSE(c.contains(1));
+  EXPECT_TRUE(c.contains(2));
+  EXPECT_EQ(c.used(), 30u);
+  EXPECT_EQ(c.entries(), 1u);
+  EXPECT_EQ(c.stats().evictions, 0u);  // dropped as by erase, not evicted
+}
+
 TEST(GdsfCache, ReinsertUpdatesSize) {
   GdsfCache c(100);
   c.insert(1, 40);

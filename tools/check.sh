@@ -40,11 +40,15 @@
 #      l2sim_tests, the event kernel and L2S control plane (Via, Resource,
 #      ServerSetMap, L2sPolicy, LardPolicy, LardDispatcher, Scheduler,
 #      GoldenResults) — pooled VIA message and fan-out records are raw
-#      pointers, so their lifetime bugs would surface here
+#      pointers, so their lifetime bugs would surface here — and the file
+#      caches (LruCache, GdsfCache, CacheStats): the LRU's index-linked
+#      slots and probe arithmetic are where out-of-bounds bugs would hide
 #  11. ThreadSanitizer build, running the scheduler/event-kernel,
 #      run_parallel (including per-job telemetry + merge), thread-budget
 #      and determinism tests, plus the fault, telemetry, obs, topo, largen
 #      and chaos labels
+#  12. UndefinedBehaviorSanitizer build (no recovery: the first UB report
+#      aborts its test), running every test in l2sim_tests
 #
 # Usage: tools/check.sh [--skip-tsan] [--skip-asan] [--skip-bench]
 set -euo pipefail
@@ -99,12 +103,12 @@ if [[ "$skip_bench" -eq 0 ]]; then
 fi
 
 if [[ "$skip_asan" -eq 0 ]]; then
-  echo "== AddressSanitizer: fault + telemetry + obs + topo + largen + chaos + model suites, kernel + control plane =="
+  echo "== AddressSanitizer: fault + telemetry + obs + topo + largen + chaos + model suites, kernel + control plane + caches =="
   cmake -B build-asan -S . -DL2SIM_SANITIZE=address >/dev/null
   cmake --build build-asan -j --target l2sim_tests l2sim_fault_tests l2sim_telemetry_tests l2sim_obs_tests l2sim_topo_tests l2sim_largen_tests l2sim_chaos_tests l2sim_model_tests
   ctest --test-dir build-asan --output-on-failure -j "$jobs" -L 'fault|telemetry|obs|topo|largen|chaos|model'
   ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-    -R '^(Via|Resource|ServerSetMap|L2sPolicy|LardPolicy|LardDispatcher|Scheduler|GoldenResults)\.'
+    -R '^(Via|Resource|ServerSetMap|L2sPolicy|LardPolicy|LardDispatcher|Scheduler|GoldenResults|LruCache|GdsfCache|CacheStats)\.'
 fi
 
 if [[ "$skip_tsan" -eq 0 ]]; then
@@ -115,5 +119,12 @@ if [[ "$skip_tsan" -eq 0 ]]; then
     -R 'Scheduler|ThreadBudget|Parallel|Determinism'
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L 'fault|telemetry|obs|topo|largen|chaos'
 fi
+
+echo "== UndefinedBehaviorSanitizer: l2sim_tests =="
+cmake -B build-ubsan -S . -DL2SIM_SANITIZE=undefined >/dev/null
+cmake --build build-ubsan -j --target l2sim_tests
+# The other test binaries are not built in this tree; skip their
+# registered-but-missing placeholders.
+ctest --test-dir build-ubsan --output-on-failure -j "$jobs" -E '_NOT_BUILT'
 
 echo "check.sh: all green"
