@@ -17,10 +17,17 @@
 //     connections from the last broadcast value; server-set changes are
 //     broadcast by the node that made them.
 //
+// The replicas of one policy draw their membership records from one
+// ServerSetPool. A set-change broadcast carries a hold on the origin's
+// record, and each receiver points its replica at it, so all replicas that
+// applied the change share one copy until one of them edits the set
+// (copy-on-write). A replica costs a 12-byte entry per file, not a vector.
+//
 // Defaults are the paper's simulation settings: T = 20, t = 10, delta = 4.
 #pragma once
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "l2sim/cluster/load_tracker.hpp"
@@ -79,12 +86,14 @@ class L2sPolicy final : public Policy {
 
   /// Node `owner`'s view of node `target`'s load (for tests).
   [[nodiscard]] int view_of(int owner, int target) const;
-  /// Node `owner`'s replica of the file's server set (for tests).
+  /// Node `owner`'s replica of the file's server set (for tests). Replicas
+  /// that share a membership record return the same vector.
   [[nodiscard]] const std::vector<int>& server_set_of(int owner,
                                                       storage::FileId file) const;
 
  private:
   struct NodeState {
+    explicit NodeState(std::shared_ptr<ServerSetPool> pool) : sets(std::move(pool)) {}
     cluster::LoadView view{1};
     cluster::BroadcastThrottle throttle{4};
     ServerSetMap sets;

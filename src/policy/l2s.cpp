@@ -21,8 +21,9 @@ void L2sPolicy::attach(const ClusterContext& ctx) {
   ctx_ = ctx;
   states_.clear();
   all_nodes_.clear();
+  const auto pool = std::make_shared<ServerSetPool>();
   for (int n = 0; n < ctx.node_count(); ++n) {
-    auto st = std::make_unique<NodeState>();
+    auto st = std::make_unique<NodeState>(pool);
     st->view = cluster::LoadView(ctx.node_count());
     st->throttle = cluster::BroadcastThrottle(params_.broadcast_delta);
     states_.push_back(std::move(st));
@@ -213,12 +214,13 @@ void L2sPolicy::maybe_broadcast_load(int node) {
 
 void L2sPolicy::broadcast_set_change(int origin, storage::FileId file) {
   counters_.add("locality_broadcasts");
-  // Ship the new membership by value: the broadcast holds this one copy
-  // and each receiver copies it into its replica on delivery.
-  std::vector<int> members = state(origin).sets.members(file);
+  // The broadcast holds the origin's current membership record; each
+  // receiver points its replica at that record on delivery. A later edit
+  // at the origin clones the record, so the snapshot in flight stays as
+  // it was sent.
   ctx_.via->broadcast(origin, ctx_.control_msg_bytes,
-                      [this, file, members = std::move(members)](int dst) {
-                        state(dst).sets.replace(file, members, ctx_.sched->now());
+                      [this, file, set = state(origin).sets.share(file)](int dst) {
+                        state(dst).sets.adopt(file, set, ctx_.sched->now());
                       });
 }
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
+#include "l2sim/core/simulation.hpp"
 #include "l2sim/policy/l2s.hpp"
+#include "l2sim/trace/synthetic.hpp"
 #include "policy_fixture.hpp"
 
 namespace l2s::policy {
@@ -186,6 +189,66 @@ TEST(L2sPolicy, OptimisticViewBumpOnForward) {
   (void)p.select_service_node(0, PolicyFixture::request_for(9));  // forwards to 1
   EXPECT_EQ(p.view_of(0, 1), 1);  // node 0 counts its own hand-off
   EXPECT_EQ(p.view_of(2, 1), 0);  // node 2 knows nothing
+}
+
+TEST(L2sPolicy, ReplicasShareOneRecordPerSet) {
+  constexpr int kNodes = 4;
+  PolicyFixture f(kNodes);
+  L2sPolicy p;
+  p.attach(f.ctx);
+  (void)p.select_service_node(2, PolicyFixture::request_for(5));  // node 2 creates {2}
+  f.drain();
+  for (int a = 0; a < kNodes; ++a)
+    for (int b = 0; b < kNodes; ++b) EXPECT_EQ(&p.server_set_of(a, 5), &p.server_set_of(b, 5));
+
+  // Node 2 is overloaded, so a request entering there grows the set onto
+  // the least-loaded node (0). Until that broadcast lands, the peers keep
+  // the old membership, still shared among themselves.
+  f.set_load(2, 30);
+  EXPECT_EQ(p.select_service_node(2, PolicyFixture::request_for(5)), 0);
+  EXPECT_EQ(p.server_set_of(2, 5), (std::vector<int>{2, 0}));
+  for (const int peer : {0, 1, 3}) {
+    EXPECT_EQ(p.server_set_of(peer, 5), std::vector<int>{2});
+    EXPECT_EQ(&p.server_set_of(peer, 5), &p.server_set_of(0, 5));
+    EXPECT_NE(&p.server_set_of(peer, 5), &p.server_set_of(2, 5));
+  }
+  f.drain();
+  for (int a = 0; a < kNodes; ++a) {
+    EXPECT_EQ(p.server_set_of(a, 5), (std::vector<int>{2, 0}));
+    EXPECT_EQ(&p.server_set_of(a, 5), &p.server_set_of(2, 5));
+  }
+}
+
+// Locality broadcasts own a hold on their membership record. The VIA
+// network that carries them outlives the policy (ClusterSimulation destroys
+// its policy first), so the record pool must survive the policy.
+TEST(L2sPolicy, PolicyDestroyedWithBroadcastsInFlight) {
+  PolicyFixture f(8);
+  {
+    L2sPolicy p;
+    p.attach(f.ctx);
+    for (storage::FileId file = 0; file < 24; ++file)
+      (void)p.select_service_node(static_cast<int>(file % 8), PolicyFixture::request_for(file));
+    for (int i = 0; i < 200; ++i) ASSERT_TRUE(f.sched.step());  // some deliveries land
+  }
+  EXPECT_GT(f.sched.pending(), 0u);
+}
+
+TEST(L2sPolicy, SimulationDestroyedWithBroadcastsInFlight) {
+  trace::SyntheticSpec spec;
+  spec.name = "teardown";
+  spec.files = 50;
+  spec.requests = 100;
+  spec.seed = 5;
+  const trace::Trace tr = trace::generate(spec);
+  core::SimConfig cfg;
+  cfg.nodes = 8;
+  core::ClusterSimulation sim(cfg, tr, std::make_unique<L2sPolicy>());
+  for (storage::FileId file = 0; file < 24; ++file)
+    (void)sim.policy().select_service_node(static_cast<int>(file % 8),
+                                           PolicyFixture::request_for(file));
+  for (int i = 0; i < 200; ++i) ASSERT_TRUE(sim.scheduler().step());
+  EXPECT_GT(sim.scheduler().pending(), 0u);
 }
 
 }  // namespace

@@ -1,32 +1,35 @@
 #!/usr/bin/env bash
 # Full verification sweep:
 #   1. tier-1: Release build + entire test suite
-#   2. clang-tidy on the core engine (skipped when clang-tidy is not
+#   2. memory gate: `l2sim run --paper clarknet --policy l2s --nodes 64`
+#      must peak at <= 110 MiB RSS (tools/peak_rss.py); the L2S replicas'
+#      shared server-set records are what keep it there
+#   3. clang-tidy on the core engine (skipped when clang-tidy is not
 #      installed)
-#   3. DES kernel bench (gates: >=2x open-loop speedup, zero steady-state
+#   4. DES kernel bench (gates: >=2x open-loop speedup, zero steady-state
 #      heap allocations in the inline kernel)
-#   4. fault bench (gates: crash/failover/loss acceptance criteria from
+#   5. fault bench (gates: crash/failover/loss acceptance criteria from
 #      docs/bench_fault.md, plus bit-reproducibility)
-#   5. telemetry bench (gates: <=1% overhead with spans off, <=5% at 1/64
+#   6. telemetry bench (gates: <=1% overhead with spans off, <=5% at 1/64
 #      span sampling; schema in docs/telemetry.md)
-#   6. overload bench (gates: metastable-collapse acceptance from
+#   7. overload bench (gates: metastable-collapse acceptance from
 #      docs/overload.md — undefended 3x-flash+crash baseline collapses,
 #      the AIMD+budget+brownout stack keeps >= 70% of nominal goodput,
 #      chaos replay bit-identical serial and under run_parallel); emits
 #      build/BENCH_overload.json
-#   7. obs bench (gate: <=2% saturated-throughput overhead with the
+#   8. obs bench (gate: <=2% saturated-throughput overhead with the
 #      default flight-recorder ring on; see docs/observability.md); emits
 #      build/BENCH_obs.json
-#   8. topology bench (gate: flow-level transfers cut scheduled events
+#   9. topology bench (gate: flow-level transfers cut scheduled events
 #      >= 5x on the 256-node forwarding-heavy rack cell; see
 #      docs/topology.md); emits build/BENCH_topology.json
-#   9. analytic bench (gates: Che hit rate within 5 pp of the DES on
+#  10. analytic bench (gates: Che hit rate within 5 pp of the DES on
 #      every fault-free golden/stress cell, >= 100x analytic-vs-DES
 #      wall-clock on the 64-cell sweep; see docs/analytic.md) and the
 #      planner study (gate: the planned top-quartile brackets the
 #      measured paper-figure knee to within one grid cell); emits
 #      build/BENCH_analytic.json
-#  10. AddressSanitizer build, running the fault-injection suites
+#  11. AddressSanitizer build, running the fault-injection suites
 #      (`ctest -L fault`) — the crash/retry/epoch machinery is where
 #      lifetime bugs would hide — the telemetry suites (`-L telemetry`:
 #      the span ring and exporter buffers), the flight-recorder suites
@@ -40,14 +43,16 @@
 #      l2sim_tests, the event kernel and L2S control plane (Via, Resource,
 #      ServerSetMap, L2sPolicy, LardPolicy, LardDispatcher, Scheduler,
 #      GoldenResults) — pooled VIA message and fan-out records are raw
-#      pointers, so their lifetime bugs would surface here — and the file
-#      caches (LruCache, GdsfCache, CacheStats): the LRU's index-linked
-#      slots and probe arithmetic are where out-of-bounds bugs would hide
-#  11. ThreadSanitizer build, running the scheduler/event-kernel,
+#      pointers, and locality broadcasts in flight hold server-set
+#      records past their policy, so lifetime bugs would surface here —
+#      and the file caches (LruCache, GdsfCache, CacheStats): the LRU's
+#      index-linked slots and probe arithmetic are where out-of-bounds
+#      bugs would hide
+#  12. ThreadSanitizer build, running the scheduler/event-kernel,
 #      run_parallel (including per-job telemetry + merge), thread-budget
 #      and determinism tests, plus the fault, telemetry, obs, topo, largen
 #      and chaos labels
-#  12. UndefinedBehaviorSanitizer build (no recovery: the first UB report
+#  13. UndefinedBehaviorSanitizer build (no recovery: the first UB report
 #      aborts its test), running every test in l2sim_tests
 #
 # Usage: tools/check.sh [--skip-tsan] [--skip-asan] [--skip-bench]
@@ -73,6 +78,9 @@ echo "== tier-1: Release build + full test suite =="
 cmake -B build -S . >/dev/null
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
+
+echo "== memory gate: L2S, 64 nodes, ClarkNet (peak RSS <= 110 MiB) =="
+python3 tools/peak_rss.py 110 build/tools/l2sim run --paper clarknet --policy l2s --nodes 64
 
 echo "== clang-tidy: core engine (skipped when clang-tidy is unavailable) =="
 if command -v clang-tidy >/dev/null 2>&1; then
