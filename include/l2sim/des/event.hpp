@@ -5,10 +5,11 @@
 // (`[this, conn]`, `[this, conn, bytes]`, ... — a pointer, a shared_ptr and
 // a few scalars). Callables that fit are stored in place: scheduling an
 // event performs zero heap allocations. The layers above keep their hot
-// events inside the buffer: a des::Resource holds its in-service job's
-// continuation in a member, so its completion event captures only `this`,
-// and the VIA layer's stage events capture a pooled message record rather
-// than the next continuation. Oversized captures — now rare, e.g. the
+// events inside the buffer: a des::Resource queues job records rather
+// than callables, so its completion event captures only `this`, and a VIA
+// message is itself the job record at each resource it visits, so of its
+// stages only the topology hop schedules a callable, which captures just
+// the network and the record. Oversized captures — now rare, e.g. the
 // flow-network bulk path, whose completion captures the caller's
 // InlineEvent — spill into EventArena, a thread-local size-classed free
 // list, so even the spill path stops allocating once the simulation

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "l2sim/common/error.hpp"
@@ -41,9 +42,12 @@ namespace l2s::des {
 
 using EventFn = InlineEvent;
 
+class JobPool;  // resource.hpp
+
 class Scheduler {
  public:
-  Scheduler() = default;
+  Scheduler();
+  ~Scheduler();
   // Not movable: resources hold long-lived Scheduler&.
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -113,6 +117,10 @@ class Scheduler {
   /// retained so a reused scheduler stays allocation-free.
   void reset();
 
+  /// The records behind Resource::submit(SimTime, EventFn), shared by every
+  /// resource bound to this scheduler (resource.hpp).
+  [[nodiscard]] JobPool& job_pool() { return *jobs_; }
+
  private:
   // 16-byte POD heap key; the callable lives in slots_[slot] and never
   // moves while sifting. The sequence number and slot index share one
@@ -179,6 +187,7 @@ class Scheduler {
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
+  std::unique_ptr<JobPool> jobs_;
 };
 
 }  // namespace l2s::des

@@ -11,13 +11,20 @@
 // pays its real hop count.
 //
 // Each message in flight is one record from a pool the network owns
-// (stable addresses, recycled through a free list). The record carries
-// src, dst, bytes, the NIC transfer time and the delivery continuation, so
-// every stage event captures only `[this, record]` and stays inside
-// InlineEvent's buffer. A broadcast stores its callback once, in a pooled,
-// reference-counted fan-out record; each of its N-1 messages points at it
-// and carries only its own destination. Records return to their pools on
-// every outcome, a fault-model drop included.
+// (stable addresses, recycled through a free list). The record embeds a
+// des::Job, so it is itself the queue node at every resource it visits:
+// each stage re-points the job's `fire` at the next stage's handler and
+// submits the same record (cpu -> tx NIC -> topology -> rx NIC -> cpu).
+// Only the topology hop schedules a callable, and it captures just
+// `[this, record]`. A point-to-point continuation waits in a side pool; a
+// broadcast stores its callback once, in a pooled, reference-counted
+// fan-out record. The fan-out record also embeds the broadcast's
+// sender-CPU job: one job with `repeat = N-2` stands for the N-1 CPU
+// charges, and each run takes a message record for the next destination
+// (ascending, skipping the sender) and hands it to the sender NIC. A
+// broadcast queued behind a busy CPU therefore holds one record, not N-1.
+// Records return to their pools on every outcome, a fault-model drop
+// included.
 #pragma once
 
 #include <cstddef>
@@ -105,28 +112,31 @@ class ViaNetwork {
   [[nodiscard]] std::uint64_t messages_sent() const { return messages_; }
   /// Records each pool has ever created. Records are recycled, so once a
   /// workload reaches its peak number of messages (and broadcasts) in
-  /// flight, these stop growing.
+  /// flight, these stop growing. A fan-out record is also its broadcast's
+  /// sender-CPU batch: a broadcast that has not left the sender CPU holds
+  /// one fan-out record and no message records for its unsent part.
   struct PoolSizes {
     std::size_t messages = 0;
     std::size_t fanouts = 0;
+    std::size_t continuations = 0;  ///< point-to-point delivery callables
   };
-  [[nodiscard]] PoolSizes pool_sizes() const { return {msgs_.size(), fans_.size()}; }
+  [[nodiscard]] PoolSizes pool_sizes() const {
+    return {msgs_.size(), fans_.size(), conts_.size()};
+  }
   [[nodiscard]] std::uint64_t messages_dropped() const { return dropped_; }
   [[nodiscard]] std::uint64_t messages_duplicated() const { return duplicated_; }
   [[nodiscard]] std::uint64_t messages_delayed() const { return delayed_; }
   [[nodiscard]] std::uint64_t messages_delivered() const { return delivered_; }
   /// Messages sent but neither dropped nor yet handed to the receiver NIC —
-  /// the telemetry probe samples this. Clamped at 0 because a mid-flight
-  /// warm-up reset can make the counters momentarily inconsistent.
-  [[nodiscard]] std::uint64_t in_flight() const {
-    const std::uint64_t settled = dropped_ + delivered_;
-    return settled >= messages_ ? 0 : messages_ - settled;
-  }
+  /// the telemetry probe samples this. A live count: reset_stats() leaves
+  /// it alone, so messages in flight across the warm-up reset still count.
+  [[nodiscard]] std::uint64_t in_flight() const { return in_flight_; }
   [[nodiscard]] int endpoints() const { return static_cast<int>(endpoints_.size()); }
 
   /// Zero every counter, including the fault-layer ones. (This used to
   /// clear only messages_, which made warm-up drops bleed into measured
-  /// statistics once the fault layer landed.)
+  /// statistics once the fault layer landed.) in_flight() is a state, not
+  /// a counter, and is kept.
   void reset_stats() {
     messages_ = 0;
     dropped_ = 0;
@@ -136,47 +146,66 @@ class ViaNetwork {
   }
 
  private:
-  /// One broadcast's callback, shared by its N-1 messages and destroyed
-  /// when the last of them is delivered or dropped.
-  struct Fanout {
+  /// One broadcast: its callback, shared by its N-1 messages and destroyed
+  /// when the last of them is delivered or dropped, and its sender-CPU job,
+  /// which runs once per destination and holds a reference until its last
+  /// run.
+  struct Fanout : des::Job {
+    int src = 0;
+    int next_dst = 0;  ///< destination of the next sender-CPU run
+    int refs = 0;
+    ViaNetwork* net = nullptr;
+    Bytes bytes = 0;
     static constexpr std::size_t kSize = 48;
     static constexpr std::size_t kAlign = 16;
     alignas(kAlign) unsigned char fn[kSize];  ///< the callable, constructed in place
     void (*invoke)(void* fn, int dst) = nullptr;
     void (*destroy)(void* fn) noexcept = nullptr;  ///< nullptr while the record is free
-    int refs = 0;
   };
+  static_assert(sizeof(Fanout) <= 128, "a queued broadcast costs one 128-byte record");
 
-  /// One message in flight.
-  struct Msg {
+  /// One message in flight; `service` holds the NIC transfer time from the
+  /// sender NIC until the receiver NIC is done with it.
+  struct Msg : des::Job {
     int src = 0;
     int dst = 0;
+    bool cpu = false;  ///< send(): charge the destination CPU before delivery
+    bool dup = false;  ///< fault: a suppressed copy burns receiver NIC time
+    bool bcast = false;  ///< which member of the union below is live
+    ViaNetwork* net = nullptr;
     Bytes bytes = 0;
-    SimTime xfer = 0;   ///< NIC transfer time, paid at both ends
     SimTime extra = 0;  ///< fault: delay before the receiver NIC
-    bool dup = false;   ///< fault: a suppressed copy burns receiver NIC time
-    bool cpu = false;   ///< send(): charge the destination CPU before delivery
-    Fanout* fan = nullptr;  ///< broadcast member: deliver through fan
-    des::EventFn done;      ///< point-to-point continuation (fan == nullptr)
+    union {
+      Fanout* fan = nullptr;  ///< broadcast member: deliver through fan
+      des::EventFn* done;     ///< point-to-point continuation (side pool)
+    };
   };
+  static_assert(sizeof(Msg) <= 80, "a queued message costs at most 80 bytes");
 
   void check_pair(int src, int dst) const;
   Msg* acquire_msg(int src, int dst, Bytes bytes);
+  /// Park a point-to-point continuation in the side pool.
+  des::EventFn* acquire_cont(des::EventFn fn);
   /// Return `m` to the pool, destroying its continuation or dropping its
   /// fan-out reference.
   void release(Msg* m);
   Fanout* acquire_fanout(int src);
   void unref(Fanout* fan);
-  /// Post one message per peer of `src`, each referencing `fan`.
+  /// Queue the broadcast's sender-CPU job: one run per peer of `src`.
   void fan_out(int src, Bytes bytes, Fanout* fan);
 
   // The stages of a message, in order. send() enters at cpu_send,
-  // transmit() at nic_send.
+  // transmit() at nic_send; a broadcast enters at fan_sent.
   void cpu_send(Msg* m);
+  static void fan_sent(des::Job* job);
+  static void cpu_sent(des::Job* job);
   void nic_send(Msg* m);
+  static void tx_done(des::Job* job);
   void wire_done(Msg* m);
   void arrive(Msg* m);
+  static void rx_done(des::Job* job);
   void nic_received(Msg* m);
+  static void cpu_received(des::Job* job);
   void deliver(Msg* m);
 
   des::Scheduler& sched_;
@@ -190,10 +219,15 @@ class ViaNetwork {
   std::uint64_t duplicated_ = 0;
   std::uint64_t delayed_ = 0;
   std::uint64_t delivered_ = 0;
+  std::uint64_t in_flight_ = 0;
+  // Free message and fan-out records are linked through their job's
+  // `next`, which no resource holds while the record is free.
   std::deque<Msg> msgs_;
-  std::vector<Msg*> free_msgs_;
+  Msg* free_msgs_ = nullptr;
   std::deque<Fanout> fans_;
-  std::vector<Fanout*> free_fans_;
+  Fanout* free_fans_ = nullptr;
+  std::deque<des::EventFn> conts_;
+  std::vector<des::EventFn*> free_conts_;
 };
 
 template <typename F>

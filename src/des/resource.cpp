@@ -5,35 +5,65 @@
 namespace l2s::des {
 
 Resource::Resource(Scheduler& sched, std::string name)
-    : sched_(sched), name_(std::move(name)) {}
+    : sched_(sched), pool_(sched.job_pool()), name_(std::move(name)) {}
 
 void Resource::submit(SimTime service, EventFn done) {
   L2S_REQUIRE(service >= 0);
-  if (busy_) {
-    queue_.push_back(Job{service, std::move(done)});
+  JobPool::CallJob* job = pool_.acquire();  // fire == nullptr, repeat == 0
+  job->service = service;
+  job->done = std::move(done);
+  enqueue(job);
+}
+
+void Resource::submit(Job* job) {
+  L2S_REQUIRE(job->service >= 0);
+  L2S_REQUIRE(job->fire != nullptr);
+  enqueue(job);
+}
+
+void Resource::enqueue(Job* job) {
+  waiting_ += std::size_t{1} + job->repeat;
+  if (current_ != nullptr) {
+    job->next = nullptr;
+    if (tail_ == nullptr) {
+      head_ = job;
+    } else {
+      tail_->next = job;
+    }
+    tail_ = job;
   } else {
-    start(service, std::move(done));
+    start(job);
   }
 }
 
-void Resource::start(SimTime service, EventFn done) {
-  busy_ = true;
-  service_ = service;
-  done_ = std::move(done);
-  sched_.after(service, [this]() { complete(); });
+void Resource::start(Job* job) {
+  --waiting_;
+  current_ = job;
+  sched_.after(job->service, [this]() { complete(); });
 }
 
 void Resource::complete() {
-  busy_time_ += service_;
+  Job* done = current_;
+  busy_time_ += done->service;
   ++jobs_;
-  busy_ = false;
-  EventFn done = std::move(done_);
-  if (!queue_.empty()) {
-    Job next = std::move(queue_.front());
-    queue_.pop_front();
-    start(next.service, std::move(next.done));
+  current_ = nullptr;
+  if (done->repeat > 0) {
+    --done->repeat;
+    start(done);
+  } else if (head_ != nullptr) {
+    Job* next = head_;
+    head_ = next->next;
+    if (head_ == nullptr) tail_ = nullptr;
+    start(next);
   }
-  done();
+  if (done->fire != nullptr) {
+    done->fire(done);
+    return;
+  }
+  auto* call = static_cast<JobPool::CallJob*>(done);
+  EventFn fn = std::move(call->done);
+  pool_.release(call);
+  fn();
 }
 
 double Resource::utilization(SimTime elapsed) const {

@@ -2,7 +2,14 @@
 
 #include <algorithm>
 
+#include "l2sim/des/resource.hpp"
+
 namespace l2s::des {
+
+Scheduler::Scheduler() : jobs_(std::make_unique<JobPool>()) {}
+
+// Out of line: JobPool is complete only here.
+Scheduler::~Scheduler() = default;
 
 // Bottom-up (Wegener) sift-down: the key being sifted came from the last
 // heap position — almost always near-maximal — so instead of comparing it

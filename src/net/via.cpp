@@ -29,37 +29,56 @@ void ViaNetwork::check_pair(int src, int dst) const {
 }
 
 ViaNetwork::Msg* ViaNetwork::acquire_msg(int src, int dst, Bytes bytes) {
-  Msg* m;
-  if (free_msgs_.empty()) {
+  Msg* m = free_msgs_;
+  if (m == nullptr) {
     m = &msgs_.emplace_back();
+    m->net = this;
   } else {
-    m = free_msgs_.back();
-    free_msgs_.pop_back();
+    free_msgs_ = static_cast<Msg*>(m->next);
   }
-  // A free record has no fan-out reference and no continuation; nic_send
-  // sets the transfer time and fault fields.
+  // The caller sets the fan-out or continuation; nic_send sets the
+  // transfer time and fault fields.
   m->src = src;
   m->dst = dst;
   m->bytes = bytes;
   m->cpu = false;
+  m->bcast = false;
   return m;
 }
 
-void ViaNetwork::release(Msg* m) {
-  if (m->fan != nullptr) {
-    unref(m->fan);
-    m->fan = nullptr;
+des::EventFn* ViaNetwork::acquire_cont(des::EventFn fn) {
+  des::EventFn* cont;
+  if (free_conts_.empty()) {
+    cont = &conts_.emplace_back();
   } else {
-    m->done = nullptr;
+    cont = free_conts_.back();
+    free_conts_.pop_back();
   }
-  free_msgs_.push_back(m);
+  *cont = std::move(fn);
+  return cont;
+}
+
+void ViaNetwork::release(Msg* m) {
+  if (m->bcast) {
+    unref(m->fan);
+  } else {
+    *m->done = nullptr;
+    free_conts_.push_back(m->done);
+  }
+  m->next = free_msgs_;
+  free_msgs_ = m;
 }
 
 ViaNetwork::Fanout* ViaNetwork::acquire_fanout(int src) {
   L2S_REQUIRE(src >= 0 && src < endpoints());
-  if (free_fans_.empty()) return &fans_.emplace_back();
-  Fanout* fan = free_fans_.back();
-  free_fans_.pop_back();
+  Fanout* fan = free_fans_;
+  if (fan == nullptr) {
+    fan = &fans_.emplace_back();
+    fan->net = this;
+    fan->fire = &ViaNetwork::fan_sent;
+  } else {
+    free_fans_ = static_cast<Fanout*>(fan->next);
+  }
   return fan;
 }
 
@@ -67,62 +86,91 @@ void ViaNetwork::unref(Fanout* fan) {
   if (--fan->refs > 0) return;
   fan->destroy(fan->fn);
   fan->destroy = nullptr;
-  free_fans_.push_back(fan);
+  fan->next = free_fans_;
+  free_fans_ = fan;
 }
 
 void ViaNetwork::fan_out(int src, Bytes bytes, Fanout* fan) {
-  fan->refs = 1;  // this loop's own hold, dropped once every message is posted
-  for (int dst = 0; dst < endpoints(); ++dst) {
-    if (dst == src) continue;
-    Msg* m = acquire_msg(src, dst, bytes);
-    m->fan = fan;
-    ++fan->refs;
-    cpu_send(m);
+  fan->refs = 1;  // the sender-CPU job's hold, dropped after its last run
+  if (endpoints() == 1) {
+    unref(fan);  // no peers: nothing to send
+    return;
   }
-  unref(fan);
+  fan->src = src;
+  fan->next_dst = src == 0 ? 1 : 0;
+  fan->bytes = bytes;
+  fan->service = params_.cpu_msg_time();
+  fan->repeat = static_cast<std::uint32_t>(endpoints() - 2);
+  endpoints_[static_cast<std::size_t>(src)].cpu->submit(fan);
 }
 
 void ViaNetwork::transmit(int src, int dst, Bytes bytes, des::EventFn on_delivered) {
   check_pair(src, dst);
   Msg* m = acquire_msg(src, dst, bytes);
-  m->done = std::move(on_delivered);
+  m->done = acquire_cont(std::move(on_delivered));
   nic_send(m);
 }
 
 void ViaNetwork::send(int src, int dst, Bytes bytes, des::EventFn on_delivered) {
   check_pair(src, dst);
   Msg* m = acquire_msg(src, dst, bytes);
-  m->done = std::move(on_delivered);
+  m->done = acquire_cont(std::move(on_delivered));
   cpu_send(m);
 }
 
 void ViaNetwork::cpu_send(Msg* m) {
   m->cpu = true;
-  endpoints_[static_cast<std::size_t>(m->src)].cpu->submit(params_.cpu_msg_time(),
-                                                           [this, m]() { nic_send(m); });
+  m->service = params_.cpu_msg_time();
+  m->fire = &ViaNetwork::cpu_sent;
+  endpoints_[static_cast<std::size_t>(m->src)].cpu->submit(m);
+}
+
+void ViaNetwork::fan_sent(des::Job* job) {
+  auto* fan = static_cast<Fanout*>(job);
+  ViaNetwork& net = *fan->net;
+  const int dst = fan->next_dst;
+  fan->next_dst = dst + 1 == fan->src ? dst + 2 : dst + 1;
+  Msg* m = net.acquire_msg(fan->src, dst, fan->bytes);
+  m->bcast = true;
+  m->fan = fan;
+  m->cpu = true;
+  ++fan->refs;
+  net.nic_send(m);
+  if (fan->next_dst >= net.endpoints()) net.unref(fan);  // that was the last run
+}
+
+void ViaNetwork::cpu_sent(des::Job* job) {
+  auto* m = static_cast<Msg*>(job);
+  m->net->nic_send(m);
 }
 
 void ViaNetwork::nic_send(Msg* m) {
   ++messages_;
   des::Resource& tx = endpoints_[static_cast<std::size_t>(m->src)].nic->tx();
-  m->xfer = params_.nic_transfer_time(m->bytes);
+  m->service = params_.nic_transfer_time(m->bytes);
 
   LinkFault fault;
   if (fault_model_ != nullptr) fault = fault_model_->on_message(m->src, m->dst);
   if (fault.drop) {
     // The sender still pushes the bytes out; they die in the network.
     ++dropped_;
-    tx.submit(m->xfer, []() {});
+    tx.submit(m->service, []() {});
     release(m);
     return;
   }
+  ++in_flight_;
   if (fault.duplicate) ++duplicated_;
   if (fault.extra_delay > 0) ++delayed_;
   m->dup = fault.duplicate;
   m->extra = fault.extra_delay;
-  tx.submit(m->xfer, [this, m]() {
-    topo_.traverse(m->src, m->dst, m->bytes, [this, m]() { wire_done(m); });
-  });
+  m->fire = &ViaNetwork::tx_done;
+  tx.submit(m);
+}
+
+void ViaNetwork::tx_done(des::Job* job) {
+  auto* m = static_cast<Msg*>(job);
+  ViaNetwork* net = m->net;
+  net->topo_.traverse(m->src, m->dst, m->bytes, [net, m]() { net->wire_done(m); });
 }
 
 void ViaNetwork::wire_done(Msg* m) {
@@ -135,26 +183,39 @@ void ViaNetwork::wire_done(Msg* m) {
 
 void ViaNetwork::arrive(Msg* m) {
   ++delivered_;
+  --in_flight_;
   des::Resource& rx = endpoints_[static_cast<std::size_t>(m->dst)].nic->rx();
-  rx.submit(m->xfer, [this, m]() { nic_received(m); });
+  m->fire = &ViaNetwork::rx_done;
+  rx.submit(m);
   // Receiver-side dedup: the copy costs NIC time, nothing fires.
-  if (m->dup) rx.submit(m->xfer, []() {});
+  if (m->dup) rx.submit(m->service, []() {});
+}
+
+void ViaNetwork::rx_done(des::Job* job) {
+  auto* m = static_cast<Msg*>(job);
+  m->net->nic_received(m);
 }
 
 void ViaNetwork::nic_received(Msg* m) {
   if (m->cpu) {
-    endpoints_[static_cast<std::size_t>(m->dst)].cpu->submit(params_.cpu_msg_time(),
-                                                             [this, m]() { deliver(m); });
+    m->service = params_.cpu_msg_time();
+    m->fire = &ViaNetwork::cpu_received;
+    endpoints_[static_cast<std::size_t>(m->dst)].cpu->submit(m);
   } else {
     deliver(m);
   }
 }
 
+void ViaNetwork::cpu_received(des::Job* job) {
+  auto* m = static_cast<Msg*>(job);
+  m->net->deliver(m);
+}
+
 void ViaNetwork::deliver(Msg* m) {
-  if (m->fan != nullptr) {
+  if (m->bcast) {
     m->fan->invoke(m->fan->fn, m->dst);
   } else {
-    m->done();
+    (*m->done)();
   }
   release(m);
 }
@@ -177,6 +238,7 @@ void ViaNetwork::bulk(int src, int dst, Bytes bytes, des::EventFn on_delivered) 
     ++dropped_;
     return;
   }
+  ++in_flight_;
   if (fault.duplicate) ++duplicated_;  // receiver-side dedup: counted only
   const SimTime extra = fault.extra_delay;
   if (extra > 0) ++delayed_;
@@ -184,6 +246,7 @@ void ViaNetwork::bulk(int src, int dst, Bytes bytes, des::EventFn on_delivered) 
                [this, extra, done = std::move(on_delivered)]() mutable {
                  auto deliver = [this, done = std::move(done)]() mutable {
                    ++delivered_;
+                   --in_flight_;
                    done();
                  };
                  if (extra > 0) {

@@ -190,7 +190,12 @@ TEST(FaultInjection, BroadcastRecordsRecycleThroughDropsDuplicatesAndDelays) {
     faults.dropped.clear();
     hits.assign(kNodes, 0);
     auto token = std::make_shared<int>(0);
+    // A busy sender CPU queues the broadcast's sender-CPU job, so its
+    // messages are taken one CPU charge at a time.
+    f.cpus[kSrc]->submit(seconds_to_simtime(1e-4), [] {});
+    const std::size_t messages_before = f.via.pool_sizes().messages;
     f.via.broadcast(kSrc, 16, [&hits, token](int dst) { ++hits[static_cast<std::size_t>(dst)]; });
+    EXPECT_EQ(f.via.pool_sizes().messages, messages_before);
     f.sched.run();
     // The shared callback died with the last of its messages.
     EXPECT_EQ(token.use_count(), 1);
@@ -211,10 +216,12 @@ TEST(FaultInjection, BroadcastRecordsRecycleThroughDropsDuplicatesAndDelays) {
   const net::ViaNetwork::PoolSizes pools = f.via.pool_sizes();
   EXPECT_EQ(pools.fanouts, 1u);
   EXPECT_LE(pools.messages, static_cast<std::size_t>(kNodes - 1));
+  EXPECT_EQ(pools.continuations, 0u);
 
   broadcast_once();
   EXPECT_EQ(f.via.pool_sizes().messages, pools.messages);
   EXPECT_EQ(f.via.pool_sizes().fanouts, pools.fanouts);
+  EXPECT_EQ(f.via.pool_sizes().continuations, 0u);
 }
 
 TEST(FaultInjection, DroppedMessageReleasesItsCallableAtTheDrop) {
